@@ -270,6 +270,7 @@ let () =
   let doc =
     Json.Obj
       [ ("bench", Json.String "churn");
+        ("host", Bench_host.json ~jobs:1);
         ( "workload",
           Json.Obj
             [ ("events", Json.Int !events);

@@ -441,6 +441,7 @@ let () =
     Json.Obj
       [ ("bench", Json.String "load");
         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+        ("host", Bench_host.json ~jobs:!jobs);
         ("requests_per_client", Json.Int !requests);
         ("burst", Json.Int !burst);
         ( "deadline_ms",

@@ -302,6 +302,7 @@ let () =
   let doc =
     Json.Obj
       [ ("suite", Json.String "mqo");
+        ("host", Bench_host.json ~jobs:!jobs);
         ("workload",
          Json.String (if !quick then "tpch-quick+random" else "tpch-22x3+random"));
         ("sf", Json.Float !sf);

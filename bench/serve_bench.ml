@@ -214,6 +214,7 @@ let () =
   let doc =
     Json.Obj
       [ ("suite", Json.String "serve");
+        ("host", Bench_host.json ~jobs:!jobs);
         ("workload",
          Json.String (if !quick then "tpch-quick" else "tpch-22x3"));
         ("sf", Json.Float !sf);

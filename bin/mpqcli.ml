@@ -1037,10 +1037,12 @@ let serve_cmd =
           answers each on standard output: a $(b,-- [LINE] hit|miss) status \
           comment with the planning and execution latency, then the result \
           as CSV. Optimized plans are cached after passing the static \
-          verifier once, keyed by (query structure, policy, configuration); \
-          a repeated query skips planning $(i,and) re-verification. Queries \
-          the policy rejects report $(b,rejected) and the verdict is cached \
-          too.";
+          verifier once, keyed by (query shape, policy, configuration), \
+          where the shape abstracts the query's constants to their types; \
+          a repeated query skips planning $(i,and) re-verification, and a \
+          query that differs only in its constants runs the cached plan \
+          with its own constants bound in (a $(b,hit)). Queries the policy \
+          rejects report $(b,rejected) and the verdict is cached too.";
       `P "Blank lines and $(b,#) comments are skipped. Directives: \
           $(b,\\\\stats) prints cache statistics, \
           $(b,\\\\policy FILE) installs a new policy for the current \

@@ -29,12 +29,14 @@ type info = {
 
 type t = {
   store : (string, info) Hashtbl.t;  (* structural fingerprint -> node *)
+  reps : (int, info) Hashtbl.t;  (* representative's id -> its node *)
   fps : (int, string) Hashtbl.t;  (* physical node id -> fp memo *)
   mutable interned : int;  (* plans interned (root-level calls) *)
 }
 
 let create () =
-  { store = Hashtbl.create 256; fps = Hashtbl.create 1024; interned = 0 }
+  { store = Hashtbl.create 256; reps = Hashtbl.create 256;
+    fps = Hashtbl.create 1024; interned = 0 }
 
 (* Bottom-up memoized structural fingerprint: one Fingerprint.of_plan_via
    level per physical node, children read from the memo — linear total
@@ -75,16 +77,70 @@ let rec intern_node t p =
       info.occurrences <- info.occurrences + 1;
       info.rep
   | None ->
-      Hashtbl.add t.store fp
+      let info =
         { rep = p; size = Plan.size p; crypto_free = crypto_free p;
-          occurrences = 1 };
+          occurrences = 1 }
+      in
+      Hashtbl.add t.store fp info;
+      Hashtbl.add t.reps (Plan.id p) info;
       p
 
 let intern t p =
   t.interned <- t.interned + 1;
   intern_node t p
 
+let rep_info t p = Hashtbl.find_opt t.reps (Plan.id p)
+
 let find t p = Hashtbl.find_opt t.store (fingerprint t p)
+
+(* A bound plan (Plan.bind over an interned one) against the store, as
+   [intern] would see it but without inserting: every subtree occurrence
+   whose shape the store holds counts one occurrence and is replaced by
+   its representative, exactly as interning would; the rest — the nodes
+   carrying values no resident plan has — stay as they are and never
+   enter the store or the per-id memo. Their fingerprints live in a
+   table local to the call, read through the returned function.
+   Subtrees kept from the interned plan are representatives already:
+   they are recognized by id and counted without fingerprinting. *)
+let touch t p =
+  let local = Hashtbl.create 16 in
+  let rec fp p =
+    match Hashtbl.find_opt t.fps (Plan.id p) with
+    | Some f -> f
+    | None -> (
+        match Hashtbl.find_opt local (Plan.id p) with
+        | Some f -> f
+        | None ->
+            let f = Fingerprint.of_plan_via fp p in
+            Hashtbl.replace local (Plan.id p) f;
+            f)
+  in
+  let rec count p =
+    (match rep_info t p with
+    | Some info -> info.occurrences <- info.occurrences + 1
+    | None -> ());
+    List.iter count (Plan.children p)
+  in
+  let rec go p =
+    match rep_info t p with
+    | Some info ->
+        count p;
+        info.rep
+    | None -> (
+        let children = Plan.children p in
+        let touched = List.map go children in
+        let p =
+          if List.for_all2 ( == ) children touched then p
+          else Plan.with_children p touched
+        in
+        match Hashtbl.find_opt t.store (fp p) with
+        | Some info ->
+            info.occurrences <- info.occurrences + 1;
+            info.rep
+        | None -> p)
+  in
+  let p = go p in
+  (p, fp)
 
 let occurrences t p =
   match find t p with Some i -> i.occurrences | None -> 0
@@ -100,6 +156,7 @@ type stats = {
   shared_occurrences : int;
       (* occurrences beyond the first of each shared node: the count of
          subtrees the DAG representation did not have to materialize *)
+  memoized : int;  (* node ids in the fingerprint memo *)
 }
 
 let stats t =
@@ -113,9 +170,10 @@ let stats t =
       t.store (0, 0, 0)
   in
   { plans = t.interned; nodes; occurrences; shared_nodes;
-    shared_occurrences }
+    shared_occurrences; memoized = Hashtbl.length t.fps }
 
 let clear t =
   Hashtbl.reset t.store;
+  Hashtbl.reset t.reps;
   Hashtbl.reset t.fps;
   t.interned <- 0

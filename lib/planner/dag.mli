@@ -46,6 +46,24 @@ val fingerprint : t -> Plan.t -> string
 (** Memoized structural fingerprint, byte-identical to
     {!Fingerprint.of_plan}. *)
 
+val rep_info : t -> Plan.t -> info option
+(** The store's entry for a representative, found by node id without
+    fingerprinting; [None] for any node that is not one (a structurally
+    equal copy included — {!find} resolves those). Every node of an
+    interned or {!touch}ed plan is a representative except the bound
+    nodes no resident plan has, which are in no entry. *)
+
+val touch : t -> Plan.t -> Plan.t * (Plan.t -> string)
+(** [touch t p] resolves [p] against the store like {!intern} — each
+    subtree occurrence whose shape is stored counts one occurrence and
+    is replaced by its representative — but inserts nothing: neither
+    the node store nor the per-id fingerprint memo grows. The serving
+    layer applies it to a cached plan with a request's literals bound
+    in, so bound hits feed sub-plan admission the occurrences a fresh
+    interning would, without growing the store per distinct literal.
+    Returns the resolved plan and a fingerprint function valid on its
+    nodes that memoizes nothing. *)
+
 val find : t -> Plan.t -> info option
 val occurrences : t -> Plan.t -> int
 val is_shared : t -> Plan.t -> bool
@@ -62,6 +80,7 @@ type stats = {
   shared_nodes : int;
   shared_occurrences : int;
       (** subtree materializations saved by sharing *)
+  memoized : int;  (** node ids in the per-id fingerprint memo *)
 }
 
 val stats : t -> stats

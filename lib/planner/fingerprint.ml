@@ -57,14 +57,18 @@ let of_op (op : Predicate.op) =
   | Gt -> "gt"
   | Ge -> "ge"
 
-let of_atom (a : Predicate.atom) =
+(* Literal slots ([Cmp_const] values, [In_list] elements) are encoded
+   through [value]: [of_value] for the exact fingerprint, a type tag
+   for the shape key ({!of_plan_shape}). Every other field, the LIKE
+   pattern included, is always exact. *)
+let of_atom_with value (a : Predicate.atom) =
   in_buf @@ fun buf ->
   match a with
   | Cmp_const (x, op, v) ->
       field buf "cmp_const";
       field buf (of_attr x);
       field buf (of_op op);
-      field buf (of_value v)
+      field buf (value v)
   | Cmp_attr (x, op, y) ->
       field buf "cmp_attr";
       field buf (of_attr x);
@@ -73,15 +77,19 @@ let of_atom (a : Predicate.atom) =
   | In_list (x, vs) ->
       field buf "in";
       field buf (of_attr x);
-      list_field buf of_value vs
+      list_field buf value vs
   | Like (x, pat) ->
       field buf "like";
       field buf (of_attr x);
       field buf pat
 
-let of_predicate (p : Predicate.t) =
+let of_predicate_with value (p : Predicate.t) =
   in_buf @@ fun buf ->
-  list_field buf (fun clause -> in_buf (fun b -> list_field b of_atom clause)) p
+  list_field buf
+    (fun clause -> in_buf (fun b -> list_field b (of_atom_with value) clause))
+    p
+
+let of_predicate = of_predicate_with of_value
 
 let of_aggregate (a : Aggregate.t) =
   in_buf @@ fun buf ->
@@ -108,7 +116,7 @@ let of_aggregate (a : Aggregate.t) =
    store (Dag) computes subtree fingerprints bottom-up with memoized
    children, and the encoding must stay byte-identical to [of_plan] so
    DAG-level keys line up with the plan cache's structural keys. *)
-let of_plan_via child plan =
+let of_plan_via_with value child plan =
   in_buf @@ fun buf ->
   (match Plan.node plan with
   | Plan.Base s ->
@@ -119,11 +127,11 @@ let of_plan_via child plan =
       attr_set buf attrs
   | Plan.Select (pred, _) ->
       field buf "select";
-      field buf (of_predicate pred)
+      field buf (of_predicate_with value pred)
   | Plan.Product _ -> field buf "product"
   | Plan.Join (pred, _, _) ->
       field buf "join";
-      field buf (of_predicate pred)
+      field buf (of_predicate_with value pred)
   | Plan.Group_by (keys, aggs, _) ->
       field buf "group_by";
       attr_set buf keys;
@@ -152,7 +160,47 @@ let of_plan_via child plan =
       attr_set buf attrs);
   list_field buf child (Plan.children plan)
 
+let of_plan_via child plan = of_plan_via_with of_value child plan
 let rec of_plan plan = of_plan_via of_plan plan
+
+(* A literal slot in the shape key: its type tag only. The "lit" marker
+   keeps a slot distinct from any exact value encoding. *)
+let slot_of_value (v : Value.t) =
+  in_buf @@ fun buf ->
+  field buf "lit";
+  match v with
+  | Null -> field buf "null"
+  | Bool _ -> field buf "bool"
+  | Int _ -> field buf "int"
+  | Float _ -> field buf "float"
+  | Str _ -> field buf "str"
+  | Date _ -> field buf "date"
+  | Enc c ->
+      field buf "enc";
+      field buf c.Value.scheme;
+      field buf c.Value.key_id
+
+type shape = { key : string; literals : Value.t list; literals_key : string }
+
+(* One traversal: [of_plan_via_with] visits a node's own fields before
+   its children, left to right, so the slots are recorded in preorder —
+   the order Plan.bind consumes them in. *)
+let of_plan_shape plan =
+  let lits = ref [] in
+  let slot v =
+    lits := v :: !lits;
+    slot_of_value v
+  in
+  let rec go p = of_plan_via_with slot go p in
+  let key = go plan in
+  let literals = List.rev !lits in
+  { key; literals;
+    literals_key = in_buf (fun buf -> list_field buf of_value literals) }
+
+let exact_key s =
+  in_buf @@ fun buf ->
+  field buf s.key;
+  field buf s.literals_key
 
 let of_subject (s : Authz.Subject.t) =
   in_buf @@ fun buf ->

@@ -1,9 +1,9 @@
 (** Canonical, collision-free fingerprints of planner inputs.
 
     The plan cache ([lib/serve]) keys entries by the planner's full
-    input — query structure, policy, operation-requirement config,
-    prices, network — so distinct inputs {e must} never serialize to
-    the same string. Every atomic field is therefore emitted
+    input — query shape ({!of_plan_shape}), policy,
+    operation-requirement config, prices, network — so distinct inputs
+    {e must} never serialize to the same string. Every atomic field is therefore emitted
     length-prefixed ([<len>:<bytes>]) and every composite carries a
     constructor tag and an element count: no concatenation of fields
     can collide with a different field split, unlike naive
@@ -41,6 +41,39 @@ val of_plan_via : (Plan.t -> string) -> Plan.t -> string
     hash-consed DAG store ({!Dag}) passes a memoized child function so
     a batch's subtree fingerprints are computed bottom-up in linear
     total time while staying byte-identical to {!of_plan}. *)
+
+(** {2 Shape keys}
+
+    A selection [a op x] moves only [a] into the operand's profile
+    (Def. 3.1, Fig. 2): the constant [x] never reaches authorization,
+    candidates, the minimal extension or the key clusters, and the
+    cost model reads comparators, not values. Everything the planner
+    decides is therefore a function of the query's {e shape}: the
+    structural fingerprint with the values of [Cmp_const] and
+    [In_list] atoms abstracted to their type tags (lists keep their
+    length). LIKE patterns, comparators, attributes, [LIMIT] counts
+    and UDF names stay exact. *)
+
+type shape = {
+  key : string;  (** the shape fingerprint *)
+  literals : Value.t list;
+      (** the abstracted values, in preorder: a node's own predicate
+          (clause, then atom, then list element order) before its
+          children, left to right — the order {!Relalg.Plan.bind}
+          consumes *)
+  literals_key : string;
+      (** collision-free, bit-exact encoding of [literals] *)
+}
+
+val of_plan_shape : Plan.t -> shape
+(** One traversal computing the shape key and the literal vector.
+    [Plan.equal_shape a b] holds iff their shape keys and literal keys
+    are both equal. *)
+
+val exact_key : shape -> string
+(** The shape key with the literal vector folded back in: equal iff
+    the plans are {!Plan.equal_shape} — the key for callers that must
+    not share work across literals. *)
 
 val of_subject : Authz.Subject.t -> string
 (** Role and name (two subjects may share a name across roles). *)

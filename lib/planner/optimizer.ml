@@ -79,13 +79,11 @@ let environment_fingerprint ?(tenant = "default") ~policy ~subjects
   Buffer.contents buf
 
 let cache_key_of ~env qfp =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create (String.length qfp + String.length env + 64) in
   Fingerprint.field buf "mpq-plan-cache-v1";
   Fingerprint.field buf qfp;
   Fingerprint.field buf env;
   Buffer.contents buf
-
-let cache_key ~env query = cache_key_of ~env (Fingerprint.of_plan query)
 
 let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     ?(pricing = Pricing.make ()) ?(network = Network.make ())

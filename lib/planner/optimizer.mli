@@ -65,18 +65,13 @@ val environment_fingerprint :
     disjoint key spaces in every cache keyed by this fingerprint. *)
 
 val cache_key_of : env:string -> string -> string
-(** [cache_key_of ~env qfp] is {!cache_key} for a query whose
-    structural fingerprint [qfp] ({!Fingerprint.of_plan}) is already
-    known — the serve layer uses it to rekey surviving cache entries
-    under a new environment fingerprint without re-fingerprinting the
-    query. *)
-
-val cache_key : env:string -> Relalg.Plan.t -> string
-(** [cache_key ~env query] is the plan-cache key for planning [query]
-    under the environment fingerprinted as [env]: the structural query
-    fingerprint ({!Fingerprint.of_plan}, node-id independent — equal
-    for any two parses of the same query text) composed with [env],
-    each length-prefixed. *)
+(** [cache_key_of ~env qfp] is the plan-cache key for planning a query
+    whose fingerprint is [qfp] under the environment fingerprinted as
+    [env], each length-prefixed. The serve layer passes the query's
+    shape key ({!Fingerprint.of_plan_shape}; node-id independent, so
+    equal for any two parses of the same query text), and reuses it to
+    rekey surviving cache entries under a new environment fingerprint
+    without the query. *)
 
 val self_check : bool ref
 (** Whether {!plan} re-verifies its own output before returning it

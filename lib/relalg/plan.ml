@@ -155,6 +155,80 @@ let with_children t cs =
            (match t.node with Base s -> s.Schema.name | _ -> "operator")
            (List.length cs))
 
+(* ---- literal binding ----
+
+   A plan's literal slots are the values of its [Cmp_const] atoms and
+   the elements of its [In_list] atoms, in preorder: a node's own
+   predicate (clause, atom, list-element order) before its children,
+   left to right. The plan-cache shape key abstracts exactly these
+   slots (Planner.Fingerprint.of_plan_shape), so a cached plan serves
+   any query of its shape once the query's values are bound in. *)
+
+let pred_has_literals pred =
+  List.exists
+    (List.exists (function
+      | Predicate.Cmp_const _ | Predicate.In_list _ -> true
+      | Predicate.Cmp_attr _ | Predicate.Like _ -> false))
+    pred
+
+(* List.map applies its function in list order, so [next] is drawn in
+   slot order *)
+let bind_pred next pred =
+  List.map
+    (List.map (function
+      | Predicate.Cmp_const (a, op, _) -> Predicate.Cmp_const (a, op, next ())
+      | Predicate.In_list (a, vs) ->
+          Predicate.In_list (a, List.map (fun _ -> next ()) vs)
+      | atom -> atom))
+    pred
+
+let bind t lits =
+  let n = Array.length lits and i = ref 0 in
+  let next () =
+    if !i >= n then invalid_arg "Plan.bind: fewer values than literal slots";
+    let v = lits.(!i) in
+    incr i;
+    v
+  in
+  let renamed = ref [] in
+  let rec go t =
+    let pred =
+      match t.node with
+      | (Select (p, _) | Join (p, _, _)) when pred_has_literals p ->
+          Some (bind_pred next p)
+      | _ -> None
+    in
+    let cs = children t in
+    let cs' = List.map go cs in
+    if Option.is_none pred && List.for_all2 ( == ) cs cs' then t
+    else begin
+      (* same shape as [t] with new values: the smart constructors'
+         schema checks already held for [t] and would only recompute
+         schemas down the whole subtree *)
+      let pick p = Option.value pred ~default:p in
+      let node =
+        match (t.node, cs') with
+        | Select (p, _), [ c ] -> Select (pick p, c)
+        | Join (p, _, _), [ l; r ] -> Join (pick p, l, r)
+        | Project (a, _), [ c ] -> Project (a, c)
+        | Product _, [ l; r ] -> Product (l, r)
+        | Group_by (k, ag, _), [ c ] -> Group_by (k, ag, c)
+        | Udf (nm, ins, o, _), [ c ] -> Udf (nm, ins, o, c)
+        | Order_by (k, _), [ c ] -> Order_by (k, c)
+        | Limit (k, _), [ c ] -> Limit (k, c)
+        | Encrypt (a, _), [ c ] -> Encrypt (a, c)
+        | Decrypt (a, _), [ c ] -> Decrypt (a, c)
+        | _ -> assert false
+      in
+      let t' = fresh node in
+      renamed := (t.id, t'.id) :: !renamed;
+      t'
+    end
+  in
+  let t' = go t in
+  if !i <> n then invalid_arg "Plan.bind: more values than literal slots";
+  (t', List.rev !renamed)
+
 let rec fold f acc t = List.fold_left (fold f) (f acc t) (children t)
 let iter f t = fold (fun () n -> f n) () t
 let size t = fold (fun n _ -> n + 1) 0 t

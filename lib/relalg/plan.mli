@@ -92,6 +92,19 @@ val with_children : t -> t list -> t
     re-checked). Raises [Invalid_argument] on arity mismatch. Used by
     the hash-consing DAG store to splice shared subtrees in place. *)
 
+val bind : t -> Value.t array -> t * (int * int) list
+(** [bind t values] is [t] with its literal slots — the values of its
+    [Cmp_const] atoms and the elements of its [In_list] atoms, in
+    preorder (a node's own predicate before its children, left to
+    right; the order of [Planner.Fingerprint.of_plan_shape]) — replaced
+    by [values]. Subtrees without a slot are returned physically; every
+    rebuilt node (a slot-bearing node or an ancestor of one) gets a
+    fresh id, so nothing keyed by a template node's id can describe a
+    bound node. On a DAG each occurrence is bound separately. Returns
+    the bound plan and the [(old id, new id)] pairs of the rebuilt
+    nodes, in rebuild order. Raises [Invalid_argument] unless [values]
+    has exactly one value per slot. *)
+
 val preorder_positions : t -> (int, int) Hashtbl.t
 (** Preorder position (root = 0) of every node, keyed by allocation id.
     Positions are a function of plan {e structure} only, so two builds

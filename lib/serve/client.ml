@@ -16,6 +16,10 @@ let connect ?(timeout_s = 10.0) addr =
         (try
            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
          with e -> Unix.close fd; raise e);
+        (* a request written behind an unacknowledged one must not wait
+           for the server's delayed ACK *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
         fd
     | Server.Unix_path path ->
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

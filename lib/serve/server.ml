@@ -84,6 +84,8 @@ type session = {
   fd : Unix.file_descr;
   nf : Netfaults.session;
   inbuf : Buffer.t;  (* bytes read, not yet a complete line *)
+  mutable discarding : bool;
+      (* skipping the rest of an over-long line, up to its newline *)
   outq : string Queue.t;  (* responses owed, FIFO *)
   mutable out_off : int;  (* bytes of the queue head already written *)
   mutable out_bytes : int;
@@ -445,31 +447,63 @@ let dispatch t =
 
 (* --- socket IO -------------------------------------------------------- *)
 
-let drain_lines t s =
-  let data = Buffer.contents s.inbuf in
-  Buffer.clear s.inbuf;
-  let len = String.length data in
-  let start = ref 0 in
-  (try
-     while (not s.eof) && not s.dead do
-       match String.index_from_opt data !start '\n' with
-       | Some i ->
-           let line = String.sub data !start (i - !start) in
-           start := i + 1;
-           handle_line t s line
-       | None -> raise Exit
-     done
-   with Exit -> ());
-  if (not s.eof) && (not s.dead) && !start < len then
-    Buffer.add_substring s.inbuf data !start (len - !start)
+(* The longest request line a session may send. Longer lines are
+   refused with one structured line and skipped up to their newline, so
+   a client that never sends one holds at most this much of the
+   server's memory. *)
+let max_line_bytes = 1 lsl 20
+
+let refuse_long_line t s =
+  s.line_no <- s.line_no + 1;
+  s.requests_seen <- s.requests_seen + 1;
+  t.c_requests <- t.c_requests + 1;
+  t.c_rejected <- t.c_rejected + 1;
+  Obs.incr "server.line_too_long";
+  push_out t s
+    (Printf.sprintf "-- [%d] rejected: line too long (over %d bytes)\n"
+       s.line_no max_line_bytes)
+
+(* Split the [k] bytes just read into lines. Only these bytes are
+   scanned for newlines; a line's earlier bytes wait in [inbuf]. *)
+let drain_lines t s buf k =
+  let rec newline i =
+    if i >= k then None else if Bytes.get buf i = '\n' then Some i
+    else newline (i + 1)
+  in
+  let rec go start =
+    if (not s.eof) && not s.dead then
+      match newline start with
+      | Some i ->
+          let len = i - start in
+          if s.discarding then s.discarding <- false
+          else if Buffer.length s.inbuf + len > max_line_bytes then begin
+            Buffer.reset s.inbuf;
+            refuse_long_line t s
+          end
+          else begin
+            Buffer.add_subbytes s.inbuf buf start len;
+            let line = Buffer.contents s.inbuf in
+            Buffer.clear s.inbuf;
+            handle_line t s line
+          end;
+          go (i + 1)
+      | None ->
+          let len = k - start in
+          if s.discarding then ()
+          else if Buffer.length s.inbuf + len > max_line_bytes then begin
+            Buffer.reset s.inbuf;
+            s.discarding <- true;
+            refuse_long_line t s
+          end
+          else Buffer.add_subbytes s.inbuf buf start len
+  in
+  go 0
 
 let read_session t s =
   let buf = Bytes.create 4096 in
   match Unix.read s.fd buf 0 (Bytes.length buf) with
   | 0 -> s.eof <- true
-  | k ->
-      Buffer.add_subbytes s.inbuf buf 0 k;
-      drain_lines t s
+  | k -> drain_lines t s buf k
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> force_close t s
 
@@ -498,6 +532,14 @@ let accept_session t =
   match Unix.accept t.listen_fd with
   | fd, _ ->
       Unix.set_nonblock fd;
+      (* replies go out as soon as they are written: with Nagle on, a
+         reply written while an earlier one is unacknowledged waits for
+         the client's delayed ACK (~40 ms) *)
+      (match t.bound with
+      | Tcp _ -> (
+          try Unix.setsockopt fd Unix.TCP_NODELAY true
+          with Unix.Unix_error _ -> ())
+      | Unix_path _ -> ());
       if List.length t.sessions >= t.cfg.max_sessions then begin
         t.c_sessions_refused <- t.c_sessions_refused + 1;
         Obs.incr "server.sessions_refused";
@@ -517,7 +559,8 @@ let accept_session t =
         let s =
           { sid; fd;
             nf = Netfaults.session ~seed:t.cfg.fault_seed t.cfg.netfaults sid;
-            inbuf = Buffer.create 256; outq = Queue.create (); out_off = 0;
+            inbuf = Buffer.create 256; discarding = false;
+            outq = Queue.create (); out_off = 0;
             out_bytes = 0; line_no = 0; tenant = Tenancy.default_id;
             requests_seen = 0;
             responses_enqueued = 0; open_requests = 0; eof = false;

@@ -54,6 +54,11 @@ val addr_of_string : string -> addr
 
 val addr_to_string : addr -> string
 
+val max_line_bytes : int
+(** The longest request line a session may send (1 MiB). A longer line
+    is answered with one [-- [N] rejected: line too long] line, and its
+    bytes up to the next newline are discarded. *)
+
 type config = {
   backlog : int;  (** global admitted-request bound (default 64) *)
   dispatch : int;

@@ -13,8 +13,11 @@ type verdict =
 
 (* What the cache stores per key. [deps] is the entry's authorization
    dependency set (empty for denials — see [set_policy]); [qfp] the
-   structural query fingerprint, kept so surviving entries can be
-   rekeyed under a new environment fingerprint without the query;
+   query half of the key (the shape fingerprint, or with sharing off the
+   exact one), kept so surviving entries can be rekeyed under a new
+   environment fingerprint without the query; [literals] the literal
+   vector key of the query the verdict was planned for — a hit with
+   other literals binds its own into the plan;
    [env] the environment the verdict was computed under, so entries
    stranded by a non-policy rotation are never migrated into the
    current epoch by a later policy delta; [tenant] the id of the
@@ -26,6 +29,7 @@ type cached = {
   verdict : verdict;
   deps : Analysis.Fact.Set.t;
   qfp : string;
+  literals : string;
   env : string;
   tenant : string;
   exec_plan : Plan.t option;
@@ -85,6 +89,8 @@ type t = {
   mutable subplan_stores : int;
   mutable subplan_invalidated : int;
   mutable shared_execs : int;
+  mutable bound_hits : int;
+  mutable exec_failures : int;
   mutable cross_tenant_hits : int;
   mutable plan_ms_total : float;
   mutable exec_ms_total : float;
@@ -130,8 +136,9 @@ let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     derive_memo = Verify.Derive.memo ~fp:(Planner.Dag.fingerprint dag) ();
     queries = 0; rejections = 0; expired = 0; invalidated = 0;
     reverified = 0; retained = 0; subplan_hits = 0; subplan_stores = 0;
-    subplan_invalidated = 0; shared_execs = 0; cross_tenant_hits = 0;
-    plan_ms_total = 0.0; exec_ms_total = 0.0 }
+    subplan_invalidated = 0; shared_execs = 0; bound_hits = 0;
+    exec_failures = 0; cross_tenant_hits = 0; plan_ms_total = 0.0;
+    exec_ms_total = 0.0 }
 
 let tenant_exn t id =
   match Tenancy.find t.tenants id with
@@ -197,7 +204,13 @@ let tenant_stats t =
      coincide. *)
 
 let kfield s = string_of_int (String.length s) ^ ":" ^ s
-let subcache_key ~env base = "mpq-subplan-v1|" ^ base ^ kfield env
+
+(* one allocation: keys run to kilobytes (the environment fingerprint
+   alone spells out the policy), and each intermediate [^] copy of
+   that size is a major-heap allocation *)
+let subcache_key ~env base =
+  String.concat ""
+    [ "mpq-subplan-v1|"; base; string_of_int (String.length env); ":"; env ]
 
 let subtree_crypto_attrs plan =
   Plan.fold
@@ -233,13 +246,15 @@ let subjects_by_pos (extended : Authz.Extend.t) =
 (* Returns the base key (everything but the environment) plus the
    subtree's structural fingerprint — the latter doubles as the shard
    key: it is the one component rekeying never rewrites, so an entry's
-   shard is fixed for its lifetime. *)
-let base_key_of t ~clusters ~subjects ~pos n =
-  let fp = Planner.Dag.fingerprint t.dag n in
-  let buf = Buffer.create 128 in
+   shard is fixed for its lifetime. [fp] is the DAG's memoized
+   fingerprint, or for a bound plan the non-memoizing one
+   {!Planner.Dag.touch} returned. *)
+let base_key_of t ~fp ~clusters ~subjects ~pos n =
+  let fp = fp n in
+  let buf = Buffer.create (String.length fp + 256) in
   Buffer.add_string buf (kfield fp);
   let crypto_free =
-    match Planner.Dag.find t.dag n with
+    match Planner.Dag.rep_info t.dag n with
     | Some i -> i.Planner.Dag.crypto_free
     | None -> Planner.Dag.crypto_free n
   in
@@ -268,16 +283,24 @@ let base_key_of t ~clusters ~subjects ~pos n =
    already-admitted one would store the same bytes twice; a query
    where only the inner node is shared admits it as its own maximal
    node). Computed on the coordinator — DAG fingerprints and
-   occurrence counts are not synchronized. *)
-let memo_positions t (tn : Tenancy.t) (r : Planner.Optimizer.result)
+   occurrence counts are not synchronized. Executors and clusters come
+   from the cached result [r]: a bound plan has the same ones at every
+   position. *)
+let memo_positions t ~fp (tn : Tenancy.t) (r : Planner.Optimizer.result)
     exec_plan =
   let subjects = subjects_by_pos r.Planner.Optimizer.extended in
   let clusters = r.Planner.Optimizer.clusters in
   let keys = Hashtbl.create 16 in
   let rec walk ~search pos n =
-    let shared = Planner.Dag.occurrences t.dag n > 1 in
+    (* every node of an interned or touched plan is a representative,
+       except bound nodes no resident plan has: those are unshared *)
+    let shared =
+      match Planner.Dag.rep_info t.dag n with
+      | Some i -> i.Planner.Dag.occurrences > 1
+      | None -> false
+    in
     if pos = 0 || (search && shared) then begin
-      let base, skey = base_key_of t ~clusters ~subjects ~pos n in
+      let base, skey = base_key_of t ~fp ~clusters ~subjects ~pos n in
       Hashtbl.replace keys pos
         (subcache_key ~env:tn.Tenancy.env base, base, Plan.size n, skey)
     end;
@@ -358,7 +381,10 @@ let make_memo t (tn : Tenancy.t) keys =
    subtree's dependency facts (against the extended tree's matching
    position range) and insert. A key two same-round executions both
    computed is stored once — the bytes are identical by key
-   construction. *)
+   construction. [r] is the cached result even when the execution ran
+   a bound plan: dependency facts are profile facts, which no literal
+   enters (Def. 3.1), and deriving them over the cached tree reuses its
+   derivations instead of growing the memo per literal. *)
 let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
   let evs =
     List.sort (fun a b -> compare (event_pos a) (event_pos b)) !events
@@ -576,12 +602,13 @@ let now_ms () = Unix.gettimeofday () *. 1000.0
    (the default), an explicit pass here when a caller has turned the
    global gate off — the cache's "verified entries only" contract must
    not depend on ambient flag state. *)
-let plan_once t (tn : Tenancy.t) ~qfp query =
+let plan_once t (tn : Tenancy.t) ~qfp ~literals query =
   Obs.with_span "serve.plan" @@ fun () ->
   let verified_by_planner = !Planner.Optimizer.self_check in
   let denied kind message =
     { verdict = Denied { message; kind }; deps = Analysis.Fact.Set.empty;
-      qfp; env = tn.Tenancy.env; tenant = tn.Tenancy.id; exec_plan = None }
+      qfp; literals; env = tn.Tenancy.env; tenant = tn.Tenancy.id;
+      exec_plan = None }
   in
   match
     let r =
@@ -613,7 +640,7 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
          coordinator: both thread shared un-synchronized state (the
          derivation memo, the DAG store) and this function runs in the
          parallel plan phase *)
-      { verdict = Planned r; deps = Analysis.Fact.Set.empty; qfp;
+      { verdict = Planned r; deps = Analysis.Fact.Set.empty; qfp; literals;
         env = tn.Tenancy.env; tenant = tn.Tenancy.id; exec_plan = None }
   | exception Planner.Optimizer.No_candidate msg -> denied No_candidate msg
   | exception Planner.Optimizer.User_not_authorized msg ->
@@ -650,21 +677,80 @@ let finalize t (tn : Tenancy.t) query entry =
       in
       { entry with deps; exec_plan }
 
+(* A cached verdict served to a query of the same shape but other
+   literals. Nothing the planner decided reads a literal: selections
+   move only the attribute into the profile (Def. 3.1, Fig. 2), so
+   authorization, candidates, the minimal extension, the key clusters
+   and the (comparator-driven) cost are those of the cached plan, and
+   only the constants the executor evaluates change. The extended plan
+   is rebound — rebuilt nodes get fresh ids, so its id-keyed executor
+   and profile maps are carried over to them — and the dispatch
+   requests re-rendered, since their expressions print the constants.
+   The result's maps over the original query (candidates, assignment,
+   forced-plaintext config) stay keyed by the cached parse's node ids,
+   as on any hit. *)
+let bind_result (r : Planner.Optimizer.result) literals =
+  let ext = r.Planner.Optimizer.extended in
+  let plan, renamed = Plan.bind ext.Authz.Extend.plan literals in
+  let profiles = Hashtbl.copy ext.Authz.Extend.profiles in
+  let assignment =
+    List.fold_left
+      (fun m (o, n) ->
+        (match Hashtbl.find_opt profiles o with
+        | Some p ->
+            Hashtbl.remove profiles o;
+            Hashtbl.replace profiles n p
+        | None -> ());
+        match Authz.Imap.find_opt o m with
+        | Some s -> Authz.Imap.add n s (Authz.Imap.remove o m)
+        | None -> m)
+      ext.Authz.Extend.assignment renamed
+  in
+  let extended = { Authz.Extend.plan; assignment; profiles } in
+  { r with
+    Planner.Optimizer.extended;
+    requests = Authz.Dispatch.requests extended r.Planner.Optimizer.clusters }
+
 let execute ?memo t (r : Planner.Optimizer.result) plan =
   Obs.with_span "serve.exec" @@ fun () ->
-  (* fresh keyring per execution: ciphertext randomness derives from
-     (node preorder position, row index), so equal seeds reproduce
-     equal bytes — on the DAG-interned plan exactly as on the original
-     tree, since the executor threads positions per occurrence *)
-  let keyring = Mpq_crypto.Keyring.create ~seed:t.seed () in
-  let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
-  let ctx = Engine.Exec.context ~udfs:t.udfs ~crypto t.tables in
-  Engine.Exec.run ?pool:t.pool ?memo ctx plan
+  (* a memoized whole result needs no keyring: the root lookup the
+     executor would make first is made here, before the key material
+     is derived, and not repeated *)
+  match
+    Option.bind memo (fun (m : Engine.Exec.subplan_memo) ->
+        m.Engine.Exec.lookup ~pos:0 plan)
+  with
+  | Some table -> table
+  | None ->
+      (* fresh keyring per execution: ciphertext randomness derives
+         from (node preorder position, row index), so equal seeds
+         reproduce equal bytes — on the DAG-interned plan exactly as on
+         the original tree, since the executor threads positions per
+         occurrence *)
+      let keyring = Mpq_crypto.Keyring.create ~seed:t.seed () in
+      let crypto =
+        Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters
+      in
+      let ctx = Engine.Exec.context ~udfs:t.udfs ~crypto t.tables in
+      let skip_root (m : Engine.Exec.subplan_memo) =
+        { m with
+          Engine.Exec.lookup =
+            (fun ~pos p ->
+              if pos = 0 then None else m.Engine.Exec.lookup ~pos p) }
+      in
+      Engine.Exec.run ?pool:t.pool ?memo:(Option.map skip_root memo) ctx plan
 
 let run_tasks t thunks =
   match (t.pool, thunks) with
   | Some pool, _ :: _ :: _ -> Par.run_all pool thunks
   | _ -> List.map (fun f -> f ()) thunks
+
+(* The plan-cache key of a query: its shape with sharing on — one entry
+   serves every literal vector — and its exact fingerprint with sharing
+   off, the isolated baseline that plans every instance afresh. *)
+let query_key t (shape : Planner.Fingerprint.shape) =
+  if t.sharing then shape.Planner.Fingerprint.key
+  else Planner.Fingerprint.exact_key shape
 
 (* One admission-bounded round of the three-phase protocol. Requests
    whose deadline has already passed when the round starts are refused
@@ -678,8 +764,8 @@ let serve_round t requests =
   let before = Shard_lru.stats t.cache in
   let admit_now = t.now () in
   (* phase 1 — probe: resolve every request's tenant, fingerprint the
-     live ones, pick the distinct missing keys. Pure: no cache
-     mutation, no recency refresh. *)
+     live ones (shape and literals in one pass), pick the distinct
+     missing keys. Pure: no cache mutation, no recency refresh. *)
   let keyed =
     List.map
       (fun { query = q; deadline; tenant } ->
@@ -690,11 +776,12 @@ let serve_round t requests =
             | Some d when admit_now > d -> `Expired tn
             | _ ->
                 let t0 = now_ms () in
-                let qfp = Planner.Fingerprint.of_plan q in
+                let shape = Planner.Fingerprint.of_plan_shape q in
+                let qfp = query_key t shape in
                 let key =
                   Planner.Optimizer.cache_key_of ~env:tn.Tenancy.env qfp
                 in
-                `Live (tn, q, qfp, key, deadline, now_ms () -. t0)))
+                `Live (tn, q, shape, qfp, key, deadline, now_ms () -. t0)))
       requests
   in
   let to_plan =
@@ -702,11 +789,11 @@ let serve_round t requests =
       (List.fold_left
          (fun acc -> function
            | `Unknown _ | `Expired _ -> acc
-           | `Live (tn, q, qfp, key, _, _) ->
+           | `Live (tn, q, shape, qfp, key, _, _) ->
                if Shard_lru.mem t.cache ~skey:qfp key
                   || List.mem_assoc key acc
                then acc
-               else (key, (tn, q, qfp)) :: acc)
+               else (key, (tn, q, shape, qfp)) :: acc)
          [] keyed)
   in
   (* phase 2 — plan each distinct missing key in parallel. Planning is
@@ -716,9 +803,12 @@ let serve_round t requests =
   let planned =
     run_tasks t
       (List.map
-         (fun (key, (tn, q, qfp)) () ->
+         (fun (key, (tn, q, (shape : Planner.Fingerprint.shape), qfp)) () ->
            let t0 = now_ms () in
-           let entry = plan_once t tn ~qfp q in
+           let entry =
+             plan_once t tn ~qfp
+               ~literals:shape.Planner.Fingerprint.literals_key q
+           in
            (key, (entry, now_ms () -. t0)))
          to_plan)
   in
@@ -734,7 +824,7 @@ let serve_round t requests =
       (function
         | `Unknown tenant -> `Unknown tenant
         | `Expired tn -> `Expired tn
-        | `Live (tn, q, qfp, key, deadline, key_ms) -> (
+        | `Live (tn, q, shape, qfp, key, deadline, key_ms) -> (
             let t0 = now_ms () in
             let hit =
               match Shard_lru.find t.cache ~skey:qfp key with
@@ -749,7 +839,8 @@ let serve_round t requests =
             | Some entry ->
                 tn.Tenancy.hits <- tn.Tenancy.hits + 1;
                 `Resolved
-                  (tn, key, entry, deadline, Hit, key_ms +. (now_ms () -. t0))
+                  (tn, key, entry, shape, deadline, Hit,
+                   key_ms +. (now_ms () -. t0))
             | None ->
                 tn.Tenancy.misses <- tn.Tenancy.misses + 1;
                 let entry, plan_ms =
@@ -761,7 +852,10 @@ let serve_round t requests =
                          the coordinator: a function of request order and
                          cache state only, so still job-count independent. *)
                       let p0 = now_ms () in
-                      let entry = plan_once t tn ~qfp q in
+                      let entry =
+                        plan_once t tn ~qfp
+                          ~literals:shape.Planner.Fingerprint.literals_key q
+                      in
                       (entry, now_ms () -. p0)
                 in
                 (* dependency facts + DAG interning: coordinator-only
@@ -770,7 +864,7 @@ let serve_round t requests =
                 let entry = finalize t tn q entry in
                 Shard_lru.add t.cache ~skey:qfp key entry;
                 `Resolved
-                  (tn, key, entry, deadline, Miss,
+                  (tn, key, entry, shape, deadline, Miss,
                    key_ms +. (now_ms () -. t0) +. plan_ms)))
       keyed
   in
@@ -781,75 +875,133 @@ let serve_round t requests =
      keeps the refusal set a function of (requests, round start). *)
   let exec_now = t.now () in
   (* classify executions on the coordinator: batch-level work sharing
-     groups live planned requests by cache key, so each distinct entry
-     executes once per round and later occurrences alias the
-     (immutable) result table — only ever within one tenant, because
-     keys of different tenants cannot be equal. With sharing on,
-     executions run the DAG-interned plan under the sub-plan memo
-     (frozen-snapshot lookups, buffered stores). Classification order
-     is request order, so the representative choice — and with it
-     every observable effect — is job-count independent. *)
-  let rep_seen = Hashtbl.create 8 in
+     groups live planned requests by cache key and literal vector, so
+     each distinct query executes once per round and later occurrences
+     alias the (immutable) result table — only ever within one tenant,
+     because keys of different tenants cannot be equal. A request
+     whose literals differ from its entry's binds them into the cached
+     plans here (Plan.bind, then Dag.touch for the executable form:
+     occurrences counted as interning would, nothing inserted). With
+     sharing on, executions run the DAG-resolved plan under the
+     sub-plan memo (frozen-snapshot lookups, buffered stores).
+     Classification order is request order, so the representative
+     choice — and with it every observable effect — is job-count
+     independent. *)
+  let rep_seen = Hashtbl.create 8 and runs = ref 0 in
   let classified =
     List.map
       (function
         | `Unknown tenant -> `Unknown tenant
         | `Expired tn -> `Expired tn
-        | `Resolved (tn, key, entry, deadline, status, plan_ms) -> (
+        | `Resolved (tn, key, entry, shape, deadline, status, plan_ms) -> (
             match entry.verdict with
             | Denied { message; _ } ->
                 `Denied (tn, key, message, status, plan_ms)
             | Planned r -> (
+                let literals = shape.Planner.Fingerprint.literals_key in
+                let b0 = now_ms () in
+                let bind () =
+                  if String.equal literals entry.literals then None
+                  else begin
+                    t.bound_hits <- t.bound_hits + 1;
+                    Obs.incr "serve.cache.bound";
+                    let values =
+                      Array.of_list shape.Planner.Fingerprint.literals
+                    in
+                    Some (values, bind_result r values)
+                  end
+                in
+                let served = function Some (_, rb) -> rb | None -> r in
                 match deadline with
                 | Some d when exec_now > d ->
-                    `Late (tn, key, r, status, plan_ms)
-                | _ ->
-                    if t.sharing && Hashtbl.mem rep_seen key then
-                      `Alias (tn, key, r, status, plan_ms)
-                    else begin
-                      Hashtbl.replace rep_seen key ();
-                      let memo =
-                        match (t.sharing, entry.exec_plan) with
-                        | true, Some ep ->
-                            let keys = memo_positions t tn r ep in
-                            let memo, events = make_memo t tn keys in
-                            Some (ep, memo, events)
-                        | _ -> None
-                      in
-                      `Run (tn, key, r, status, plan_ms, memo)
-                    end)))
+                    let bound = bind () in
+                    `Late
+                      (tn, key, served bound, status,
+                       plan_ms +. (now_ms () -. b0))
+                | _ -> (
+                    let reps =
+                      Option.value ~default:[] (Hashtbl.find_opt rep_seen key)
+                    in
+                    match List.assoc_opt literals reps with
+                    | Some (slot, rep) when t.sharing ->
+                        `Alias (tn, key, slot, rep, status, plan_ms)
+                    | _ ->
+                        let bound = bind () in
+                        let slot = !runs in
+                        incr runs;
+                        Hashtbl.replace rep_seen key
+                          ((literals, (slot, served bound)) :: reps);
+                        let memo =
+                          match (t.sharing, entry.exec_plan, bound) with
+                          | true, Some ep, None ->
+                              let keys =
+                                memo_positions t
+                                  ~fp:(Planner.Dag.fingerprint t.dag) tn r ep
+                              in
+                              let memo, events = make_memo t tn keys in
+                              Some (ep, memo, events)
+                          | true, Some ep, Some (values, _) ->
+                              let ep, fp =
+                                Planner.Dag.touch t.dag
+                                  (fst (Plan.bind ep values))
+                              in
+                              let keys = memo_positions t ~fp tn r ep in
+                              let memo, events = make_memo t tn keys in
+                              Some (ep, memo, events)
+                          | _ -> None
+                        in
+                        `Run
+                          (tn, key, slot, r, served bound, status,
+                           plan_ms +. (now_ms () -. b0), memo)))))
       resolved
   in
   (* execute representatives in parallel (results are
-     position-deterministic) *)
+     position-deterministic). An execution that fails — a data-dependent
+     crypto refusal, say — fails its own request only: its neighbours'
+     tables stand, and none of its sub-plan events are replayed. *)
   let executed =
     run_tasks t
       (List.filter_map
          (function
-           | `Run (_, key, r, _, _, memo) ->
+           | `Run (_, _, _, _, served, _, _, memo) ->
                Some
                  (fun () ->
                    let t0 = now_ms () in
                    let table =
-                     match memo with
-                     | Some (ep, m, _) -> execute ~memo:m t r ep
-                     | None ->
-                         execute t r
-                           r.Planner.Optimizer.extended.Authz.Extend.plan
+                     match
+                       match memo with
+                       | Some (ep, m, _) -> execute ~memo:m t served ep
+                       | None ->
+                           execute t served
+                             served.Planner.Optimizer.extended.Authz.Extend
+                               .plan
+                     with
+                     | table -> Ok table
+                     | exception e -> Error (Printexc.to_string e)
                    in
-                   (key, (table, now_ms () -. t0)))
+                   (table, now_ms () -. t0))
            | _ -> None)
          classified)
+    |> Array.of_list
   in
   (* replay the buffered sub-plan cache events sequentially, in
      request order (and position order within one execution): the only
      subcache mutations, so its evolution matches any job count *)
   List.iter
     (function
-      | `Run (tn, _, r, _, _, Some (_, _, events)) ->
-          replay_subcache t tn r events
+      | `Run (tn, _, slot, r, _, _, _, Some (_, _, events)) -> (
+          match executed.(slot) with
+          | Ok _, _ -> replay_subcache t tn r events
+          | Error _, _ -> ())
       | _ -> ())
     classified;
+  let outcome_of = function
+    | Ok table -> Table table
+    | Error msg ->
+        t.exec_failures <- t.exec_failures + 1;
+        Obs.incr "serve.exec_failures";
+        Rejected ("execution failed: " ^ msg)
+  in
   (* assemble responses in request order, each tagged with the tenant
      it was served for (or the unknown id it named) *)
   let responses =
@@ -875,19 +1027,21 @@ let serve_round t requests =
                 tenant = tn.Tenancy.id; planned = Some r; plan_ms;
                 exec_ms = 0.0 },
               Some tn )
-        | `Run (tn, key, r, status, plan_ms, _) ->
-            let table, exec_ms = List.assoc key executed in
-            ( { outcome = Table table; status; key; tenant = tn.Tenancy.id;
-                planned = Some r; plan_ms; exec_ms },
+        | `Run (tn, key, slot, _, served, status, plan_ms, _) ->
+            let table, exec_ms = executed.(slot) in
+            ( { outcome = outcome_of table; status; key;
+                tenant = tn.Tenancy.id; planned = Some served; plan_ms;
+                exec_ms },
               Some tn )
-        | `Alias (tn, key, r, status, plan_ms) ->
+        | `Alias (tn, key, slot, served, status, plan_ms) ->
             (* aliased onto the representative execution of the same
-               key: same immutable table, no second execution *)
+               query: same immutable table, no second execution *)
             t.shared_execs <- t.shared_execs + 1;
             Obs.incr "serve.exec.shared";
-            let table, _ = List.assoc key executed in
-            ( { outcome = Table table; status; key; tenant = tn.Tenancy.id;
-                planned = Some r; plan_ms; exec_ms = 0.0 },
+            let table, _ = executed.(slot) in
+            ( { outcome = outcome_of table; status; key;
+                tenant = tn.Tenancy.id; planned = Some served; plan_ms;
+                exec_ms = 0.0 },
               Some tn ))
       classified
   in
@@ -969,6 +1123,8 @@ type stats = {
   subplan_invalidated : int;
   subplan_entries : int;
   shared_execs : int;
+  bound_hits : int;
+  exec_failures : int;
   tenants : int;
   shards : int;
   cross_tenant_hits : int;
@@ -988,7 +1144,8 @@ let stats t =
     subplan_hits = t.subplan_hits; subplan_stores = t.subplan_stores;
     subplan_invalidated = t.subplan_invalidated;
     subplan_entries = Shard_lru.length t.subcache;
-    shared_execs = t.shared_execs; tenants = Tenancy.count t.tenants;
+    shared_execs = t.shared_execs; bound_hits = t.bound_hits;
+    exec_failures = t.exec_failures; tenants = Tenancy.count t.tenants;
     shards = Shard_lru.shards t.cache;
     cross_tenant_hits = t.cross_tenant_hits;
     plan_ms = t.plan_ms_total; exec_ms = t.exec_ms_total }
@@ -1001,6 +1158,7 @@ let cache_keys t = Shard_lru.keys t.cache
 let subcache_keys t = Shard_lru.keys t.subcache
 let dag_stats t = Planner.Dag.stats t.dag
 let derivations_shared t = Verify.Derive.memo_hits t.derive_memo
+let derivations_memoized t = Verify.Derive.memo_size t.derive_memo
 let shard_probes t = Shard_lru.probes t.subcache
 
 let subplan_hit_rate s =
@@ -1013,13 +1171,14 @@ let render_stats s =
     "%d queries (%d rejected, %d expired): %d hits, %d misses (%.1f%% hit \
      rate), %d/%d entries, %d evictions; %d invalidated, %d reverified, \
      %d retained; subplans %d hits / %d stores (%d entries, %d \
-     invalidated), %d shared execs; %d tenants, %d shards, %d cross-tenant \
-     hits; plan %.2f ms, exec %.2f ms"
+     invalidated), %d shared execs; %d bound hits, %d exec failures; %d \
+     tenants, %d shards, %d cross-tenant hits; plan %.2f ms, exec %.2f ms"
     s.queries s.rejections s.expired s.hits s.misses
     (100.0 *. hit_rate s)
     s.entries s.capacity s.evictions s.invalidated s.reverified s.retained
     s.subplan_hits s.subplan_stores s.subplan_entries s.subplan_invalidated
-    s.shared_execs s.tenants s.shards s.cross_tenant_hits s.plan_ms s.exec_ms
+    s.shared_execs s.bound_hits s.exec_failures s.tenants s.shards
+    s.cross_tenant_hits s.plan_ms s.exec_ms
 
 let stats_json s =
   Json.Obj
@@ -1042,6 +1201,8 @@ let stats_json s =
       ("subplan_invalidated", Json.Int s.subplan_invalidated);
       ("subplan_entries", Json.Int s.subplan_entries);
       ("shared_execs", Json.Int s.shared_execs);
+      ("bound_hits", Json.Int s.bound_hits);
+      ("exec_failures", Json.Int s.exec_failures);
       ("tenants", Json.Int s.tenants);
       ("shards", Json.Int s.shards);
       ("cross_tenant_hits", Json.Int s.cross_tenant_hits);

@@ -7,13 +7,22 @@
     are cached {e after} they have passed the independent static
     verifier once, keyed by
 
-    [cache key = query fingerprint × environment fingerprint]
+    [cache key = query shape × environment fingerprint]
 
-    where the environment covers the policy, the participating
+    where the shape is the query's structure with its constants
+    abstracted to their types ({!Planner.Fingerprint.of_plan_shape})
+    and the environment covers the policy, the participating
     subjects, the operation-requirement config, prices, bandwidths,
     the recipient and the latency bound
     ({!Planner.Optimizer.environment_fingerprint}). A cache hit skips
-    parsing-independent planning {e and} re-verification; any
+    parsing-independent planning {e and} re-verification. A hit whose
+    constants differ from the cached entry's binds them into the
+    cached plan ({!Relalg.Plan.bind}): no planner decision reads a
+    constant — a selection puts only its attribute into a profile
+    (Def. 3.1) — so the verified plan serves every literal vector of
+    its shape, and only execution sees the new values. With
+    [~sharing:false] the key carries the constants too, so every
+    distinct query is planned afresh. Any
     [set_*] mutation rotates the environment fingerprint, so every
     key formed under the old environment becomes unreachable — stale
     plans are never served, and the bounded LRU ages them out.
@@ -81,7 +90,7 @@
       service, not once per consuming query.
 
     During the parallel exec phase the sub-plan cache is a frozen
-    snapshot (pure {!Lru.peek} lookups); hits and stores are buffered
+    snapshot (pure {!Shard_lru.peek} lookups); hits and stores are buffered
     and replayed by the coordinator in request order, position order
     within a plan — so the subcache evolves identically at any job
     count. Incremental policy migration treats sub-plan entries like
@@ -136,7 +145,9 @@ val create :
     between-plan-and-exec expiry deterministically). [sharing]
     (default [true]) enables the multi-query optimizations above;
     [false] is the isolated baseline the differential tests compare
-    against — responses are byte-identical either way.
+    against: plan-cache keys carry the query's constants (no literal
+    binding), no sub-plan sharing — responses are byte-identical
+    either way.
     [subcache_capacity] bounds the sub-plan result tier (default 256
     entries, LRU). [shards] (default 1) splits both caches' hashtables
     into that many mutex-guarded shards (see {!Shard_lru}) so worker
@@ -223,7 +234,10 @@ type outcome =
           policy (no authorized executor, the recipient lacks a
           required input authorization, or no produced plan passes the
           static verifier — the service fails closed) — a policy
-          verdict, not an error, and itself cacheable *)
+          verdict, not an error, and itself cacheable; or the
+          request's execution raised (["execution failed: …"], never
+          cached, counted in [exec_failures]) — the other requests of
+          its round are served regardless *)
   | Expired of string
       (** the request's deadline passed before the service would have
           done the work: either at admission (before the cache is even
@@ -309,7 +323,13 @@ type stats = {
       (** sub-plan entries dropped by incremental policy migration *)
   subplan_entries : int;  (** resident sub-plan results *)
   shared_execs : int;
-      (** responses aliased onto a same-key execution in their round *)
+      (** responses aliased onto a same-query execution in their round *)
+  bound_hits : int;
+      (** hits whose literals differed from the cached entry's and were
+          bound into its plan *)
+  exec_failures : int;
+      (** requests refused because their execution raised (each is
+          also a rejection); their round's other requests are served *)
   tenants : int;  (** registered tenants *)
   shards : int;  (** cache shard count *)
   cross_tenant_hits : int;
@@ -329,7 +349,7 @@ val subplan_hit_rate : stats -> float
     memoizable subtree executions answered from cache. *)
 
 val cache_keys : t -> string list
-(** Most recently used first ({!Lru.keys}) — the deterministic final
+(** Most recently used first ({!Shard_lru.keys}) — the deterministic final
     state the differential tests compare. *)
 
 val subcache_keys : t -> string list
@@ -342,6 +362,9 @@ val dag_stats : t -> Planner.Dag.stats
 val derivations_shared : t -> int
 (** Profile derivations answered from the service's fingerprint-keyed
     derivation memo. *)
+
+val derivations_memoized : t -> int
+(** Subtree derivations stored in that memo. *)
 
 val shard_probes : t -> int array
 (** Per-shard worker-probe counts of the sub-plan cache

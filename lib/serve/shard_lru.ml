@@ -157,7 +157,8 @@ let add t ~skey key value =
       if length t > t.cap then evict_oldest t
 
 let remap t f =
-  (* walk the global recency list MRU-first, as Lru.remap does; each
+  (* walk the global recency list MRU-first, as the single-table
+     reference model (test/lru.ml) does; each
      node's shard is fixed (skey never changes), so the rewrite only
      ever touches one shard's table per node *)
   let dropped = ref 0 in

@@ -24,7 +24,8 @@
       capacity, the cache's evolution is a pure function of the
       operation sequence: the surviving key set is identical at 1, 4
       or 16 shards (the shard-determinism differential test), exactly
-      as {!Lru}'s evolution is identical at any [--jobs].
+      as a single-table LRU's is (the tests keep one, [test/lru.ml], as
+      the reference model).
 
     Every operation takes the entry's shard key explicitly ([~skey])
     rather than re-deriving it, because the full cache key is an
@@ -68,7 +69,8 @@ val remap : 'a t -> (string -> 'a -> (string * 'a) option) -> int
     change the full key but not the shard key — the serve layer rekeys
     by environment fingerprint, which leaves the structural component
     alone). [None] drops the entry; on a new-key collision the later
-    binding visited wins (see {!Lru.remap}). Returns the number of
+    binding visited wins, as in the single-table reference model.
+    Returns the number of
     entries dropped. Coordinator-only. *)
 
 val keys : _ t -> string list

@@ -65,6 +65,7 @@ type memo = {
 
 let memo ~fp () = { fp; profiles = Hashtbl.create 256; hits = 0; misses = 0 }
 let memo_hits m = m.hits
+let memo_size m = Hashtbl.length m.profiles
 let memo_clear m = Hashtbl.reset m.profiles
 
 (* Preorder walk pairing each node of [plan] with an index into a

@@ -40,6 +40,9 @@ val memo : fp:(Plan.t -> string) -> unit -> memo
 val memo_hits : memo -> int
 (** Subtree derivations answered from the memo (tests/bench). *)
 
+val memo_size : memo -> int
+(** Stored subtree derivations. *)
+
 val memo_clear : memo -> unit
 
 val lenient :

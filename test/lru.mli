@@ -1,4 +1,7 @@
-(** Bounded LRU map with string keys, used as the verified plan cache.
+(** Bounded single-table LRU map with string keys: the reference model
+    for {!Serve.Shard_lru}, which replaced it as the serving layer's
+    plan and sub-plan cache. The tests replay one operation stream
+    through both and require the same keys, recency and statistics.
 
     Single-domain by design: the serving layer performs every cache
     operation on the coordinating domain, in request order, so the

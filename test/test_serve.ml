@@ -51,29 +51,29 @@ let outcome_canonical_equal a b =
 (* --- LRU -------------------------------------------------------------- *)
 
 let test_lru_bounds () =
-  let c = Serve.Lru.create ~capacity:3 in
-  List.iter (fun k -> Serve.Lru.add c k (int_of_string k)) [ "1"; "2"; "3" ];
+  let c = Lru.create ~capacity:3 in
+  List.iter (fun k -> Lru.add c k (int_of_string k)) [ "1"; "2"; "3" ];
   Alcotest.(check (list string)) "MRU order" [ "3"; "2"; "1" ]
-    (Serve.Lru.keys c);
+    (Lru.keys c);
   (* touching 1 promotes it, so adding a 4th evicts 2 *)
   Alcotest.(check (option int)) "hit refreshes" (Some 1)
-    (Serve.Lru.find c "1");
-  Serve.Lru.add c "4" 4;
+    (Lru.find c "1");
+  Lru.add c "4" 4;
   Alcotest.(check (list string)) "LRU evicted" [ "4"; "1"; "3" ]
-    (Serve.Lru.keys c);
+    (Lru.keys c);
   Alcotest.(check (option int)) "evicted entry gone" None
-    (Serve.Lru.find c "2");
+    (Lru.find c "2");
   (* replacement neither grows the cache nor counts as an insertion *)
-  Serve.Lru.add c "4" 44;
-  Alcotest.(check int) "replace keeps length" 3 (Serve.Lru.length c);
-  let s = Serve.Lru.stats c in
-  Alcotest.(check int) "hits" 1 s.Serve.Lru.hits;
-  Alcotest.(check int) "misses" 1 s.Serve.Lru.misses;
-  Alcotest.(check int) "insertions" 4 s.Serve.Lru.insertions;
-  Alcotest.(check int) "evictions" 1 s.Serve.Lru.evictions;
-  Alcotest.(check bool) "mem is pure" true (Serve.Lru.mem c "3");
+  Lru.add c "4" 44;
+  Alcotest.(check int) "replace keeps length" 3 (Lru.length c);
+  let s = Lru.stats c in
+  Alcotest.(check int) "hits" 1 s.Lru.hits;
+  Alcotest.(check int) "misses" 1 s.Lru.misses;
+  Alcotest.(check int) "insertions" 4 s.Lru.insertions;
+  Alcotest.(check int) "evictions" 1 s.Lru.evictions;
+  Alcotest.(check bool) "mem is pure" true (Lru.mem c "3");
   Alcotest.(check (list string)) "mem did not promote" [ "4"; "1"; "3" ]
-    (Serve.Lru.keys c)
+    (Lru.keys c)
 
 (* The intrusive-recency-list implementation must be observationally
    identical — keys order, membership, every statistic — to the obvious
@@ -150,34 +150,34 @@ let test_lru_model_differential () =
   end in
   let rng = Mpq_crypto.Prng.create 7L in
   let key () = string_of_int (Mpq_crypto.Prng.int rng 12) in
-  let lru = Serve.Lru.create ~capacity:4 and model = Ref.create 4 in
+  let lru = Lru.create ~capacity:4 and model = Ref.create 4 in
   let agree step =
     Alcotest.(check (list string))
       (Printf.sprintf "keys agree after step %d" step)
-      (Ref.keys model) (Serve.Lru.keys lru);
-    let s = Serve.Lru.stats lru in
+      (Ref.keys model) (Lru.keys lru);
+    let s = Lru.stats lru in
     Alcotest.(check (list int))
       (Printf.sprintf "stats agree after step %d" step)
       [ model.Ref.hits; model.Ref.misses; model.Ref.insertions;
         model.Ref.evictions ]
-      [ s.Serve.Lru.hits; s.Serve.Lru.misses; s.Serve.Lru.insertions;
-        s.Serve.Lru.evictions ]
+      [ s.Lru.hits; s.Lru.misses; s.Lru.insertions;
+        s.Lru.evictions ]
   in
   for step = 1 to 600 do
     (match Mpq_crypto.Prng.int rng 10 with
     | 0 | 1 | 2 | 3 ->
         let k = key () in
-        Serve.Lru.add lru k step;
+        Lru.add lru k step;
         Ref.add model k step
     | 4 | 5 | 6 | 7 ->
         let k = key () in
         Alcotest.(check (option int)) "find agrees" (Ref.find model k)
-          (Serve.Lru.find lru k)
+          (Lru.find lru k)
     | 8 ->
         let k = key () in
         Alcotest.(check bool) "mem agrees"
           (List.mem_assoc k model.Ref.entries)
-          (Serve.Lru.mem lru k)
+          (Lru.mem lru k)
     | _ ->
         (* a migration pass: drop ~1/4, rekey ~1/4, rewrite the rest in
            place — recency order must survive on both sides *)
@@ -188,13 +188,13 @@ let test_lru_model_differential () =
           | _ -> Some (k, v + 1)
         in
         Alcotest.(check int) "remap drop count agrees" (Ref.remap model f)
-          (Serve.Lru.remap lru f));
+          (Lru.remap lru f));
     agree step
   done;
   (* a rekeyed cache keeps evicting correctly at capacity *)
   List.iter
     (fun k ->
-      Serve.Lru.add lru k 0;
+      Lru.add lru k 0;
       Ref.add model k 0)
     [ "a"; "b"; "c"; "d"; "e"; "f" ];
   agree 601
@@ -463,12 +463,26 @@ let test_policy_invalidation () =
          "provider W\nauthorize Hosp to W enc D\nauthorize Hosp to H"
          Policy_dsl.example)
   in
-  (* what a cache-less full replan answers under [policy] *)
-  let fresh_outcome policy =
-    let s = example_service ~policy () in
-    (Serve.Service.submit_sql s running_query).Serve.Service.outcome
-  in
   let service = example_service () in
+  (* what a cache-less full replan answers under [policy] *)
+  let fresh_outcome ?(sql = running_query) policy =
+    let s = example_service ~policy () in
+    (Serve.Service.submit_sql s sql).Serve.Service.outcome
+  in
+  (* the running query's shape with other constants: served by binding
+     them into whatever entry the migration left for the shape *)
+  let variant =
+    "select T, avg(P) from Hosp join Ins on S=C where D='flu' group by T \
+     having P>50"
+  in
+  let check_variant policy ~status what =
+    let r = Serve.Service.submit_sql service variant in
+    Alcotest.(check bool) (what ^ ": variant status") true
+      (r.Serve.Service.status = status);
+    Alcotest.(check bool) (what ^ ": variant = cache-less replan") true
+      (outcome_canonical_equal r.Serve.Service.outcome
+         (fresh_outcome ~sql:variant policy))
+  in
   let r1 = Serve.Service.submit_sql service running_query in
   let r1' = Serve.Service.submit_sql service running_query in
   Alcotest.(check bool) "warmed up" true
@@ -504,6 +518,8 @@ let test_policy_invalidation () =
     (ra.Serve.Service.key = r1.Serve.Service.key);
   Alcotest.(check bool) "same plan, same bytes" true
     (outcome_equal r1.Serve.Service.outcome ra.Serve.Service.outcome);
+  check_variant granted.Policy_dsl.policy ~status:Serve.Service.Hit
+    "disjoint delta";
   (* 2 — revoking a fact the plan depends on drops the entry: miss,
      full replan, and the replanned entry re-passes the verifier *)
   Serve.Service.set_policy service revoked.Policy_dsl.policy;
@@ -530,6 +546,8 @@ let test_policy_invalidation () =
       in
       Alcotest.(check bool) "replanned entry passes the verifier" true
         (Verify.Verifier.ok diags));
+  check_variant revoked.Policy_dsl.policy ~status:Serve.Service.Hit
+    "after the replan";
   (* 3 — restoring the policy is a grant-only delta: the resident
      (revocation-era) entry is re-certified by an incremental verifier
      pass and keeps serving — no replanning, answers canonically equal
@@ -543,6 +561,8 @@ let test_policy_invalidation () =
   Alcotest.(check bool) "canonically equal to a cache-less replan" true
     (outcome_canonical_equal r3.Serve.Service.outcome
        (fresh_outcome original.Policy_dsl.policy));
+  check_variant original.Policy_dsl.policy ~status:Serve.Service.Hit
+    "grant-only delta";
   let s = Serve.Service.stats service in
   Alcotest.(check bool) "migration accounting" true
     (s.Serve.Service.invalidated >= 1 && s.Serve.Service.retained >= 1)
@@ -760,12 +780,15 @@ let arbitrary_batch_policy =
     QCheck.Gen.(pair (Gen.gen_batch ~overlap:0.8 6) Gen.gen_policy)
 
 (* The tentpole differential: a batch served with multi-query sharing
-   (plan DAG, batch grouping, sub-plan result memoization) must be
-   indistinguishable — statuses, cache keys, result bytes, final plan
-   cache — from the isolated baseline ([~sharing:false]) and from a
-   fresh cache-less service per query; and the whole sharing tier must
+   (shape-keyed plan cache with literal binding, plan DAG, batch
+   grouping, sub-plan result memoization) must answer byte for byte
+   like the isolated baseline ([~sharing:false]) and like a fresh
+   cache-less service per query; and the whole sharing tier must
    evolve identically at 1 and [MPQ_JOBS] domains, sub-plan cache
-   contents included. *)
+   contents included. The two services key differently by design —
+   the shared one by query shape, the isolated one by exact query — so
+   each is held to its own documented keying: its key, its hit/miss
+   sequence and its final recency order follow from that key alone. *)
 let prop_sharing_vs_isolated =
   QCheck.Test.make ~count:8
     ~name:
@@ -781,17 +804,41 @@ let prop_sharing_vs_isolated =
       let ri, isolated = serve ~sharing:false () in
       List.iteri
         (fun i ((a : Serve.Service.response), (b : Serve.Service.response)) ->
-          if a.Serve.Service.status <> b.Serve.Service.status then
-            QCheck.Test.fail_reportf "query %d: status diverges from isolated" i;
-          if a.Serve.Service.key <> b.Serve.Service.key then
-            QCheck.Test.fail_reportf "query %d: key diverges from isolated" i;
           if
             not (outcome_equal a.Serve.Service.outcome b.Serve.Service.outcome)
           then
             QCheck.Test.fail_reportf "query %d: bytes diverge from isolated" i)
         (List.combine rs ri);
-      if Serve.Service.cache_keys shared <> Serve.Service.cache_keys isolated
-      then QCheck.Test.fail_report "plan-cache evolution diverges from isolated";
+      let check_keying label ~exact service rs =
+        let env = Serve.Service.environment service in
+        let mru =
+          List.fold_left
+            (fun mru (i, q, (r : Serve.Service.response)) ->
+              let shape = Planner.Fingerprint.of_plan_shape q in
+              let key =
+                Planner.Optimizer.cache_key_of ~env
+                  (if exact then Planner.Fingerprint.exact_key shape
+                   else shape.Planner.Fingerprint.key)
+              in
+              if r.Serve.Service.key <> key then
+                QCheck.Test.fail_reportf "query %d: %s key is not its %s key"
+                  i label (if exact then "exact" else "shape");
+              let want =
+                if List.mem key mru then Serve.Service.Hit
+                else Serve.Service.Miss
+              in
+              if r.Serve.Service.status <> want then
+                QCheck.Test.fail_reportf "query %d: %s status diverges" i
+                  label;
+              key :: List.filter (( <> ) key) mru)
+            []
+            (List.mapi (fun i (q, r) -> (i, q, r)) (List.combine batch rs))
+        in
+        if Serve.Service.cache_keys service <> mru then
+          QCheck.Test.fail_reportf "%s plan-cache evolution diverges" label
+      in
+      check_keying "shared" ~exact:false shared rs;
+      check_keying "isolated" ~exact:true isolated ri;
       if Serve.Service.subcache_keys isolated <> [] then
         QCheck.Test.fail_report "isolated service stored sub-plan results";
       (* every response equals a fresh, cache-less, sharing-free service *)
@@ -1044,6 +1091,339 @@ let test_no_cross_environment_sharing () =
        (fun k -> not (List.mem k keys_a))
        (Serve.Service.subcache_keys sa))
 
+(* --- shape keys and literal binding ------------------------------------ *)
+
+let tpch_tables sf =
+  let data = Tpch.Tpch_data.generate ~sf () in
+  List.map
+    (fun (s : Schema.t) ->
+      (s.Schema.name, Engine.Table.of_schema s (List.assoc s.Schema.name data)))
+    Tpch.Tpch_schema.all
+
+(* [plan] with every literal slot re-drawn to another value of the same
+   type: ints and dates shifted, floats scaled, strings drawn from
+   [strings]. Shape unchanged by construction. *)
+let redraw_literals ~strings st plan =
+  let shape = Planner.Fingerprint.of_plan_shape plan in
+  let redraw (v : Value.t) =
+    match v with
+    | Value.Int i -> Value.Int (i + Random.State.int st 41 - 20)
+    | Value.Float f -> Value.Float (f *. (0.5 +. Random.State.float st 1.0))
+    | Value.Date d -> Value.Date (d + Random.State.int st 801 - 400)
+    | Value.Str _ ->
+        Value.Str strings.(Random.State.int st (Array.length strings))
+    | v -> v
+  in
+  fst
+    (Plan.bind plan
+       (Array.of_list (List.map redraw shape.Planner.Fingerprint.literals)))
+
+(* Everything the planner decided, in id-free form: executor per
+   preorder position, key clusters and schemes, exact cost, the
+   dispatch requests, and the verifier's findings. *)
+let plan_signature ~policy (r : Planner.Optimizer.result) =
+  let ext = r.Planner.Optimizer.extended in
+  let positions = Plan.preorder_positions ext.Extend.plan in
+  let executors =
+    List.sort compare
+      (Plan.fold
+         (fun acc n ->
+           ( Hashtbl.find positions (Plan.id n),
+             Option.map Subject.name
+               (Imap.find_opt (Plan.id n) ext.Extend.assignment) )
+           :: acc)
+         [] ext.Extend.plan)
+  in
+  let clusters =
+    List.map (Format.asprintf "%a" Plan_keys.pp_cluster)
+      r.Planner.Optimizer.clusters
+  in
+  let requests =
+    List.map
+      (fun (q : Dispatch.request) ->
+        ( q.Dispatch.name,
+          Subject.name q.Dispatch.subject,
+          q.Dispatch.expression,
+          q.Dispatch.key_clusters,
+          q.Dispatch.calls ))
+      r.Planner.Optimizer.requests
+  in
+  let diags =
+    List.sort compare
+      (List.map
+         (fun (d : Verify.Diag.t) -> { d with Verify.Diag.node_id = None })
+         (Verify.Verifier.run
+            { Verify.Verifier.policy; config = r.Planner.Optimizer.config;
+              extended = ext; clusters = r.Planner.Optimizer.clusters;
+              requests = r.Planner.Optimizer.requests }))
+  in
+  (executors, clusters, r.Planner.Optimizer.cost, requests, diags)
+
+(* The served response to a re-literaled query against a fresh planning
+   round of it: same plan (shape, executors, clusters, cost, requests,
+   diagnostics) and, against an isolated service, same bytes or the
+   same rejection. [Error] names the first divergence. *)
+let check_bound ~policy ~fresh ~oracle (r : Serve.Service.response) =
+  if not (outcome_equal r.Serve.Service.outcome oracle.Serve.Service.outcome)
+  then Error "outcome diverges from the isolated oracle"
+  else
+    match (r.Serve.Service.planned, fresh) with
+    | None, Error _ -> Ok ()
+    | Some b, Ok (f : Planner.Optimizer.result) ->
+        if
+          not
+            (Plan.equal_shape b.Planner.Optimizer.extended.Extend.plan
+               f.Planner.Optimizer.extended.Extend.plan)
+        then Error "bound extended plan differs from the fresh plan"
+        else
+          let e1, c1, k1, q1, d1 = plan_signature ~policy b
+          and e2, c2, k2, q2, d2 = plan_signature ~policy f in
+          if e1 <> e2 then Error "executors differ"
+          else if c1 <> c2 then Error "key clusters differ"
+          else if k1 <> k2 then Error "cost differs"
+          else if q1 <> q2 then Error "dispatch requests differ"
+          else if d1 <> d2 then Error "verifier diagnostics differ"
+          else Ok ()
+    | Some _, Error e ->
+        Error ("fresh planning rejected: " ^ Printexc.to_string e)
+    | None, Ok _ -> Error "served a rejection the fresh planner does not give"
+
+let fresh_plan plan f =
+  match f plan with r -> Ok r | exception e -> Error e
+
+let prop_literal_independence =
+  QCheck.Test.make ~count:60
+    ~name:"bound hit = fresh plan of the re-literaled query (random queries)"
+    (QCheck.pair Gen.arbitrary_plan_policy QCheck.small_nat)
+    (fun ((plan, policy), seed) ->
+      let st = Random.State.make [| seed |] in
+      let plan' = redraw_literals ~strings:Gen.string_pool st plan in
+      let service = gen_service policy in
+      ignore (Serve.Service.submit service plan);
+      let r = Serve.Service.submit service plan' in
+      if r.Serve.Service.status <> Serve.Service.Hit then
+        QCheck.Test.fail_report "same shape, other literals: not a hit";
+      let oracle =
+        Serve.Service.submit (gen_service ~sharing:false policy) plan'
+      in
+      let fresh =
+        fresh_plan plan'
+          (Planner.Optimizer.plan ~policy ~subjects:Gen.subjects
+             ~deliver_to:Gen.user)
+      in
+      match check_bound ~policy ~fresh ~oracle r with
+      | Ok () -> true
+      | Error why -> QCheck.Test.fail_report why)
+
+(* the 22 TPC-H queries under the three Sec. 7 scenarios, each served
+   once as written and once with re-drawn constants of the same types
+   (strings drawn from the constants of the whole query set) *)
+let test_tpch_literal_independence () =
+  let sf = 0.0005 in
+  let tables = tpch_tables sf in
+  let queries = List.init 22 (fun i -> i + 1) in
+  let strings =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map
+            (fun q ->
+              List.filter_map
+                (function Value.Str s -> Some s | _ -> None)
+                (Planner.Fingerprint.of_plan_shape (Tpch.Tpch_queries.query q))
+                  .Planner.Fingerprint.literals)
+            queries))
+  in
+  let st = Random.State.make [| 2017 |] in
+  let bound = ref 0 in
+  List.iter
+    (fun sc ->
+      let policy = Tpch.Scenarios.policy sc in
+      let make ?sharing () =
+        Serve.Service.create ?sharing ~policy ~subjects:Tpch.Scenarios.subjects
+          ~pricing:Tpch.Scenarios.pricing
+          ~base:(Tpch.Tpch_schema.base_stats ~sf)
+          ~deliver_to:Tpch.Scenarios.user ~udfs:Tpch.Tpch_queries.udf_impls
+          ~tables ()
+      in
+      let service = make () and isolated = make ~sharing:false () in
+      List.iter
+        (fun q ->
+          let plan = Tpch.Tpch_queries.query q in
+          let plan' = redraw_literals ~strings st plan in
+          ignore (Serve.Service.submit service plan);
+          let r = Serve.Service.submit service plan' in
+          let label what =
+            Printf.sprintf "q%d %s: %s" q (Tpch.Scenarios.name sc) what
+          in
+          Alcotest.(check bool) (label "re-literaled query hits") true
+            (r.Serve.Service.status = Serve.Service.Hit);
+          let fresh =
+            fresh_plan plan'
+              (Planner.Optimizer.plan ~policy ~subjects:Tpch.Scenarios.subjects
+                 ~pricing:Tpch.Scenarios.pricing
+                 ~base:(Tpch.Tpch_schema.base_stats ~sf)
+                 ~deliver_to:Tpch.Scenarios.user)
+          in
+          let oracle = Serve.Service.submit isolated plan' in
+          match check_bound ~policy ~fresh ~oracle r with
+          | Ok () -> ()
+          | Error why -> Alcotest.fail (label why))
+        queries;
+      bound := !bound + (Serve.Service.stats service).Serve.Service.bound_hits)
+    Tpch.Scenarios.all;
+  Alcotest.(check bool) "literals were actually rebound" true (!bound > 40)
+
+let running_variant ~d ~p =
+  Printf.sprintf
+    "select T, avg(P) from Hosp join Ins on S=C where D='%s' group by T \
+     having P>%d"
+    d p
+
+let isolated_example () =
+  let env = example_env () in
+  Serve.Service.create ~sharing:false ~policy:env.Policy_dsl.policy
+    ~subjects:env.Policy_dsl.subjects ~tables:(demo_tables env) ()
+
+(* Bound nodes get fresh ids, so the DAG's id-keyed fingerprint memo can
+   never hand a bound root its template's fingerprint: two bound hits
+   with different literals store different root results, and each
+   answers like the oracle (an aliased root would replay the first
+   one's table). *)
+let test_bound_no_alias () =
+  let service = example_service () and oracle = isolated_example () in
+  let serve sql =
+    let r = Serve.Service.submit_sql service sql in
+    let o = Serve.Service.submit_sql oracle sql in
+    Alcotest.(check bool) (sql ^ ": bytes = oracle") true
+      (outcome_equal r.Serve.Service.outcome o.Serve.Service.outcome);
+    r
+  in
+  let new_keys sql =
+    let before = Serve.Service.subcache_keys service in
+    let r = serve sql in
+    ( r,
+      List.filter (fun k -> not (List.mem k before))
+        (Serve.Service.subcache_keys service) )
+  in
+  ignore (serve (running_variant ~d:"stroke" ~p:100));
+  let r1, k1 = new_keys (running_variant ~d:"stroke" ~p:200) in
+  let r2, k2 = new_keys (running_variant ~d:"flu" ~p:50) in
+  Alcotest.(check bool) "both are hits" true
+    (r1.Serve.Service.status = Serve.Service.Hit
+    && r2.Serve.Service.status = Serve.Service.Hit);
+  Alcotest.(check bool) "the two bound answers differ" false
+    (outcome_equal r1.Serve.Service.outcome r2.Serve.Service.outcome);
+  Alcotest.(check bool) "each stored its own root result" true
+    (k1 <> [] && k2 <> []
+    && List.for_all (fun k -> not (List.mem k k1)) k2);
+  (* a repeat of a bound query replays its own root result *)
+  let hits = (Serve.Service.stats service).Serve.Service.subplan_hits in
+  ignore (serve (running_variant ~d:"stroke" ~p:200));
+  Alcotest.(check bool) "repeat answered from its root result" true
+    ((Serve.Service.stats service).Serve.Service.subplan_hits > hits)
+
+(* Bound hits resolve against the DAG without inserting: after warm-up,
+   thousands of fresh-literal requests leave the node store, the per-id
+   fingerprint memo and the derivation memo as they were — while still
+   counting occurrences of the cached plan's literal-free subtrees, as
+   interning each request would. *)
+let test_bound_hits_bounded_state () =
+  let service = example_service () in
+  let sql i = running_variant ~d:(Printf.sprintf "d%d" (i mod 7)) ~p:i in
+  List.iter
+    (fun i -> ignore (Serve.Service.submit_sql service (sql i)))
+    [ 0; 1; 2 ];
+  let dag0 = Serve.Service.dag_stats service in
+  let derived0 = Serve.Service.derivations_memoized service in
+  let queries =
+    List.init 2000 (fun i -> Serve.Service.parse service (sql (i + 3)))
+  in
+  let rs = Serve.Service.submit_batch service queries in
+  Alcotest.(check bool) "every request is a hit" true
+    (List.for_all
+       (fun (r : Serve.Service.response) ->
+         r.Serve.Service.status = Serve.Service.Hit)
+       rs);
+  let dag1 = Serve.Service.dag_stats service in
+  Alcotest.(check int) "DAG nodes unchanged" dag0.Planner.Dag.nodes
+    dag1.Planner.Dag.nodes;
+  Alcotest.(check int) "fingerprint memo unchanged" dag0.Planner.Dag.memoized
+    dag1.Planner.Dag.memoized;
+  Alcotest.(check int) "derivation memo unchanged" derived0
+    (Serve.Service.derivations_memoized service);
+  Alcotest.(check bool) "literal-free subtrees still counted" true
+    (dag1.Planner.Dag.occurrences >= dag0.Planner.Dag.occurrences + 2000);
+  Alcotest.(check int) "every request but the first was bound" 2002
+    (Serve.Service.stats service).Serve.Service.bound_hits
+
+(* a cached rejection is replayed for any literals, byte for byte *)
+let test_rejection_any_literals () =
+  let service = example_service () and oracle = isolated_example () in
+  let sql d = Printf.sprintf "select B from Hosp where D='%s'" d in
+  let r0 = Serve.Service.submit_sql service (sql "stroke") in
+  let r1 = Serve.Service.submit_sql service (sql "flu") in
+  let o = Serve.Service.submit_sql oracle (sql "flu") in
+  (match r0.Serve.Service.outcome with
+  | Serve.Service.Rejected _ -> ()
+  | _ -> Alcotest.fail "expected the policy to reject reading B");
+  Alcotest.(check bool) "replayed rejection is a hit" true
+    (r1.Serve.Service.status = Serve.Service.Hit);
+  Alcotest.(check bool) "same rejection as a fresh plan" true
+    (outcome_equal r1.Serve.Service.outcome o.Serve.Service.outcome)
+
+(* One request's execution failure is its own: under UAPenc, ordering
+   nation names by OPE fails at execution (two names share a 4-byte
+   prefix); its UA neighbour in the same round is served byte for byte
+   as alone, and the failed execution leaves no sub-plan result behind. *)
+let test_exec_failure_isolated () =
+  let tables = tpch_tables 0.0001 in
+  let make ?sharing () =
+    let svc =
+      Serve.Service.create ?sharing
+        ~policy:(Tpch.Scenarios.policy Tpch.Scenarios.UA)
+        ~subjects:Tpch.Scenarios.subjects ~pricing:Tpch.Scenarios.pricing
+        ~deliver_to:Tpch.Scenarios.user ~udfs:Tpch.Tpch_queries.udf_impls
+        ~tables ()
+    in
+    Serve.Service.add_tenant svc ~id:"UAPenc"
+      ~policy:(Tpch.Scenarios.policy Tpch.Scenarios.UAPenc) ();
+    svc
+  in
+  let ua =
+    "select o_orderpriority, count(*) from orders group by o_orderpriority \
+     order by o_orderpriority"
+  and enc = "select n_name from nation order by n_name" in
+  let requests svc =
+    [ Serve.Service.request (Serve.Service.parse svc ua);
+      Serve.Service.request ~tenant:"UAPenc"
+        (Serve.Service.parse ~tenant:"UAPenc" svc enc) ]
+  in
+  let service = make () in
+  let rs = Serve.Service.submit_batch_requests service (requests service) in
+  let oracle = make ~sharing:false () in
+  let o = Serve.Service.submit_sql oracle ua in
+  (match rs with
+  | [ a; b ] ->
+      Alcotest.(check bool) "neighbour = oracle" true
+        (outcome_equal a.Serve.Service.outcome o.Serve.Service.outcome);
+      (match a.Serve.Service.outcome with
+      | Serve.Service.Table _ -> ()
+      | _ -> Alcotest.fail "neighbour was not served a table");
+      (match b.Serve.Service.outcome with
+      | Serve.Service.Rejected m ->
+          Alcotest.(check bool) "structured execution failure" true
+            (String.starts_with ~prefix:"execution failed" m)
+      | _ -> Alcotest.fail "failing request was not rejected")
+  | _ -> Alcotest.fail "two responses expected");
+  let s = Serve.Service.stats service in
+  Alcotest.(check int) "failure counted" 1 s.Serve.Service.exec_failures;
+  Alcotest.(check int) "counted as a rejection" 1 s.Serve.Service.rejections;
+  let alone = make () in
+  ignore (Serve.Service.submit_sql alone ua);
+  Alcotest.(check (list string)) "no sub-plan result from the failed execution"
+    (Serve.Service.subcache_keys alone)
+    (Serve.Service.subcache_keys service)
+
 (* --- service stats ---------------------------------------------------- *)
 
 let test_stats_accounting () =
@@ -1096,5 +1476,16 @@ let () =
            test_shared_subplan_lifecycle);
           ("no sharing across environments", `Quick,
            test_no_cross_environment_sharing) ] );
+      ( "shape-keys",
+        [ QCheck_alcotest.to_alcotest prop_literal_independence;
+          ("tpch 22 x 3 with re-drawn constants", `Slow,
+           test_tpch_literal_independence);
+          ("bound hits never alias", `Quick, test_bound_no_alias);
+          ("bound hits leave the DAG and memos unchanged", `Quick,
+           test_bound_hits_bounded_state);
+          ("cached rejection replays for any literals", `Quick,
+           test_rejection_any_literals);
+          ("execution failure stays with its request", `Quick,
+           test_exec_failure_isolated) ] );
       ( "stats",
         [ ("hit/miss accounting", `Quick, test_stats_accounting) ] ) ]

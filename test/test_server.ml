@@ -453,13 +453,109 @@ let test_chaos_sweep () =
   Alcotest.(check bool) "disconnect cuts fired" true (!forced > 0);
   Alcotest.(check bool) "plenty of structured replies" true (!replies > 100)
 
+(* --- socket behaviour ------------------------------------------------ *)
+
+(* A directive and a query written in one segment get two replies,
+   the second written while the first may still be unacknowledged.
+   With Nagle's algorithm on the server socket the second waits for the
+   client's delayed ACK (~40 ms); with TCP_NODELAY both arrive at once. *)
+let test_replies_not_delayed () =
+  with_server @@ fun _server _service addr ->
+  let c = Serve.Client.connect addr in
+  let batch = "\\tenant use default\n" ^ queries.(5) in
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    Serve.Client.send c batch;
+    (match (Serve.Client.recv c, Serve.Client.recv c) with
+    | Some a, Some b ->
+        Alcotest.(check string) "directive answered" "tenant" a.Serve.Client.tag;
+        check_structured b
+    | _ -> Alcotest.fail "two replies expected");
+    Unix.gettimeofday () -. t0
+  in
+  ignore (once ());
+  let times = List.sort compare (List.init 15 (fun _ -> once ())) in
+  Serve.Client.close c;
+  let median = List.nth times 7 in
+  if median > 0.020 then
+    Alcotest.failf "median reply time %.1f ms: replies wait on delayed ACKs"
+      (median *. 1000.0)
+
+(* read one '\n'-terminated line from a raw socket *)
+let raw_line fd =
+  let buf = Buffer.create 64 and b = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd b 0 1 with
+    | 0 -> Buffer.contents buf
+    | _ when Bytes.get b 0 = '\n' -> Buffer.contents buf
+    | _ ->
+        Buffer.add_bytes buf b;
+        go ()
+  in
+  go ()
+
+(* A client that sends 2 MiB without a newline is refused once, its
+   bytes up to the newline are dropped, its next line is served again,
+   and a neighbour session answers exactly as alone. *)
+let test_long_line_refused () =
+  let oracle = oracle_csv () in
+  let solo = with_server (fun _ _ addr -> victim_run addr) in
+  let shared =
+    with_server @@ fun server _service addr ->
+    let port = match addr with Serve.Server.Tcp p -> p | _ -> assert false in
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    let write s =
+      let off = ref 0 in
+      while !off < String.length s do
+        off :=
+          !off + Unix.write_substring fd s !off (String.length s - !off)
+      done
+    in
+    let chunk = String.make 65536 'x' in
+    for _ = 1 to 2 * 1024 * 1024 / 65536 do
+      write chunk
+    done;
+    let refusal = raw_line fd in
+    Alcotest.(check string) "structured refusal"
+      (Printf.sprintf "-- [1] rejected: line too long (over %d bytes)"
+         Serve.Server.max_line_bytes)
+      refusal;
+    let rs = victim_run addr in
+    (* the newline ends the discarded line; the next one is served *)
+    write ("yyy\n" ^ queries.(2) ^ "\n");
+    let status = raw_line fd in
+    Alcotest.(check bool) "next line served" true
+      (String.starts_with ~prefix:"-- [2] " status
+      && Str.string_match (Str.regexp ".*\\(hit\\|miss\\):") status 0);
+    let rows =
+      if Str.string_match (Str.regexp ".*, \\([0-9]+\\) rows$") status 0 then
+        int_of_string (Str.matched_group 1 status)
+      else Alcotest.failf "no row count in %S" status
+    in
+    let csv =
+      String.concat "" (List.init (rows + 1) (fun _ -> raw_line fd ^ "\n"))
+    in
+    Alcotest.(check string) "next line's table = oracle" oracle.(2) csv;
+    Unix.close fd;
+    let st = Serve.Server.stats server in
+    Alcotest.(check int) "one refusal" 1 st.Serve.Server.rejected;
+    rs
+  in
+  Alcotest.(check (list string)) "neighbour stream identical" solo shared
+
 let () =
   Alcotest.run "server"
     [ ( "framing",
         [ Alcotest.test_case "two concurrent sessions" `Quick
             test_two_sessions;
           Alcotest.test_case "stats + refused directives" `Quick
-            test_stats_directive ] );
+            test_stats_directive;
+          Alcotest.test_case "replies are not held for delayed ACKs" `Quick
+            test_replies_not_delayed;
+          Alcotest.test_case "over-long line refused, session continues"
+            `Quick test_long_line_refused ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation ] );

@@ -66,15 +66,15 @@ let test_shard_lru_oracle_differential () =
     | None -> k
   in
   let env_idx = ref 0 in
-  let oracle = Serve.Lru.create ~capacity:24 in
+  let oracle = Lru.create ~capacity:24 in
   let shs =
     List.map
       (fun n -> (n, Serve.Shard_lru.create ~capacity:24 ~shards:n))
       [ 1; 4; 16 ]
   in
   let check msg =
-    let keys = Serve.Lru.keys oracle in
-    let so = Serve.Lru.stats oracle in
+    let keys = Lru.keys oracle in
+    let so = Lru.stats oracle in
     List.iter
       (fun (n, t) ->
         Alcotest.(check (list string))
@@ -86,8 +86,8 @@ let test_shard_lru_oracle_differential () =
         let st = Serve.Shard_lru.stats t in
         Alcotest.(check (list int))
           (Printf.sprintf "%s: stats @%d shards" msg n)
-          [ so.Serve.Lru.hits; so.Serve.Lru.misses; so.Serve.Lru.insertions;
-            so.Serve.Lru.evictions ]
+          [ so.Lru.hits; so.Lru.misses; so.Lru.insertions;
+            so.Lru.evictions ]
           [ st.Serve.Shard_lru.hits; st.Serve.Shard_lru.misses;
             st.Serve.Shard_lru.insertions; st.Serve.Shard_lru.evictions ])
       shs
@@ -98,17 +98,17 @@ let test_shard_lru_oracle_differential () =
     let k = compose sk envs.(!env_idx) in
     if r < 45 then (
       let v = Random.State.int rand 1000 in
-      Serve.Lru.add oracle k v;
+      Lru.add oracle k v;
       List.iter (fun (_, t) -> Serve.Shard_lru.add t ~skey:sk k v) shs)
     else if r < 75 then (
-      let o = Serve.Lru.find oracle k in
+      let o = Lru.find oracle k in
       List.iter
         (fun (n, t) ->
           if Serve.Shard_lru.find t ~skey:sk k <> o then
             Alcotest.failf "step %d: find diverges @%d shards" step n)
         shs)
     else if r < 90 then (
-      let o = Serve.Lru.peek oracle k and m = Serve.Lru.mem oracle k in
+      let o = Lru.peek oracle k and m = Lru.mem oracle k in
       List.iter
         (fun (n, t) ->
           if Serve.Shard_lru.peek t ~skey:sk k <> o then
@@ -125,7 +125,7 @@ let test_shard_lru_oracle_differential () =
       let f k v =
         if v mod 7 = 0 then None else Some (compose (skey_of k) nenv, v + 1)
       in
-      let d0 = Serve.Lru.remap oracle f in
+      let d0 = Lru.remap oracle f in
       List.iter
         (fun (n, t) ->
           let d = Serve.Shard_lru.remap t f in
@@ -137,7 +137,7 @@ let test_shard_lru_oracle_differential () =
   done;
   check "final";
   List.iter (fun (_, t) -> Serve.Shard_lru.clear t) shs;
-  Serve.Lru.clear oracle;
+  Lru.clear oracle;
   check "after clear"
 
 let test_shard_lru_edges () =
